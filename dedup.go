@@ -136,6 +136,15 @@ type Detector struct {
 	termIndex   map[uint64][]int32
 	termIndexed int
 
+	// sigs[i] is the candidate signature of feats[i], and prefix the
+	// prefix index over them behind CandidatePrefixIndex. Both persist
+	// across Detect calls: a batch appends its own signatures and postings
+	// and probes only itself, while the token order stays frozen until the
+	// database has doubled (see prefixCandidates). A failed Detect rolls
+	// both back with the database.
+	sigs   [][]uint32
+	prefix *candgen.Index
+
 	clf      *core.Classifier
 	training []core.TrainingPair
 }
@@ -216,11 +225,10 @@ func (d *Detector) AddKnownReports(reports []adr.Report) error {
 
 // extendFeatures preprocesses any reports not yet featurized.
 func (d *Detector) extendFeatures() error {
-	all := d.db.Reports()
-	if len(d.feats) == len(all) {
+	fresh := d.db.Slice(len(d.feats), d.db.Len())
+	if len(fresh) == 0 {
 		return nil
 	}
-	fresh := all[len(d.feats):]
 	parts := d.opts.ExtractPartitions
 	if parts <= 0 {
 		parts = d.ctx.DefaultParallelism()
@@ -366,6 +374,7 @@ func (d *Detector) detect(batch []adr.Report, includePruned bool) (_ []Match, re
 			d.db.Truncate(existing)
 			d.feats = d.feats[:nFeats]
 			d.truncateTermIndex(nFeats)
+			d.truncatePrefixIndex(nFeats)
 		}
 	}()
 	if err := d.extendFeatures(); err != nil {
@@ -395,7 +404,6 @@ func (d *Detector) detect(batch []adr.Report, includePruned bool) (_ []Match, re
 		return nil, fmt.Errorf("adrdedup: classifying candidate pairs: %w", err)
 	}
 
-	reports := d.db.Reports()
 	matches := make([]Match, 0, len(results))
 	for _, res := range results {
 		if res.Pruned && !includePruned {
@@ -403,8 +411,8 @@ func (d *Detector) detect(batch []adr.Report, includePruned bool) (_ []Match, re
 		}
 		pair := ids[res.ID]
 		matches = append(matches, Match{
-			CaseA:     reports[pair.A].CaseNumber,
-			CaseB:     reports[pair.B].CaseNumber,
+			CaseA:     d.db.CaseNumber(pair.A),
+			CaseB:     d.db.CaseNumber(pair.B),
 			Score:     res.Score,
 			Duplicate: res.Label > 0,
 			Pruned:    res.Pruned,
@@ -452,24 +460,53 @@ func (d *Detector) candidates(existing, total int) ([]pairdist.IDPair, error) {
 // prefixCandidates generates Eq. 3's pairs through the prefix-filtered
 // inverted index (internal/candgen): exactly the pairs whose signature sets
 // reach CandidateTheta, restricted to those touching the new batch.
+//
+// The index persists across calls. The first Detect freezes the token order
+// over the whole database, batch included, and a later one re-freezes when
+// the database has doubled since; every other Detect ranks and appends only
+// its batch under the frozen order, so its cost follows the batch, not the
+// database. AddKnownReports never builds the index, which keeps bootstrap
+// free of candidate work.
 func (d *Detector) prefixCandidates(existing, total int) ([]pairdist.IDPair, error) {
 	theta := d.opts.CandidateTheta
 	if theta == 0 {
 		theta = DefaultCandidateTheta
 	}
-	sigs, err := candgen.Signatures(d.feats[:total])
+	sigs, err := candgen.Signatures(d.feats[len(d.sigs):total])
 	if err != nil {
 		return nil, fmt.Errorf("adrdedup: building candidate signatures: %w", err)
 	}
-	pairs, _, err := candgen.Pairs(d.ctx, sigs, candgen.Params{
-		Theta:      theta,
-		Partitions: d.classifierPartitions(),
-		MinArrival: existing,
-	})
+	d.sigs = append(d.sigs, sigs...)
+	if d.prefix == nil || total >= 2*d.prefix.Frozen() {
+		ix, err := candgen.Build(d.ctx, d.sigs, theta, d.classifierPartitions())
+		if err != nil {
+			return nil, fmt.Errorf("adrdedup: building prefix index: %w", err)
+		}
+		d.prefix = ix
+	} else if err := d.prefix.Append(d.sigs[d.prefix.Len():]); err != nil {
+		return nil, fmt.Errorf("adrdedup: extending prefix index: %w", err)
+	}
+	pairs, _, err := d.prefix.Probe(d.ctx, existing, d.classifierPartitions())
 	if err != nil {
 		return nil, fmt.Errorf("adrdedup: generating prefix-index candidates: %w", err)
 	}
 	return pairs, nil
+}
+
+// truncatePrefixIndex rolls the candidate signatures and prefix index back
+// to feats[:n] after a failed Detect. An index frozen over the failed batch
+// cannot be taken apart and is dropped; the next Detect builds a fresh one.
+func (d *Detector) truncatePrefixIndex(n int) {
+	if len(d.sigs) > n {
+		d.sigs = d.sigs[:n]
+	}
+	switch {
+	case d.prefix == nil:
+	case d.prefix.Frozen() > n:
+		d.prefix = nil
+	default:
+		d.prefix.Truncate(n)
+	}
 }
 
 // blockADRKind tags ADR-vocabulary token IDs apart from drug tokens in the

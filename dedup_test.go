@@ -2,12 +2,16 @@ package adrdedup
 
 import (
 	"bytes"
+	"math/rand"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
+	"testing/quick"
 
 	"adrdedup/internal/adr"
 	"adrdedup/internal/adrgen"
+	"adrdedup/internal/candgen"
 	"adrdedup/internal/cluster"
 	"adrdedup/internal/core"
 	"adrdedup/internal/pairdist"
@@ -635,21 +639,7 @@ func TestDetectRollsBackOnClassifierFailure(t *testing.T) {
 	// 7-dimensional pair vectors, deterministically failing Detect at the
 	// classification step.
 	goodClf := det.clf
-	bogus := make([]core.TrainingPair, 8)
-	for i := range bogus {
-		v := make([]float64, 5)
-		v[i%5] = float64(i + 1)
-		label := -1
-		if i%2 == 0 {
-			label = 1
-		}
-		bogus[i] = core.TrainingPair{Vec: v, Label: label}
-	}
-	badClf, err := core.Train(det.ctx, bogus, core.Config{K: 1, B: 2, C: 2, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	det.clf = badClf
+	det.clf = wrongDimClassifier(t, det.ctx)
 	if _, err := det.Detect(batch); err == nil {
 		t.Fatal("expected Detect to fail on the wrong-dimension classifier")
 	}
@@ -888,21 +878,7 @@ func TestBlockedIndexRollsBackOnFailedDetect(t *testing.T) {
 	// Same wrong-dimension classifier trick as the rollback tests above:
 	// Detect fails after features (and postings) were appended.
 	goodClf := det.clf
-	bogus := make([]core.TrainingPair, 8)
-	for i := range bogus {
-		v := make([]float64, 5)
-		v[i%5] = float64(i + 1)
-		label := -1
-		if i%2 == 0 {
-			label = 1
-		}
-		bogus[i] = core.TrainingPair{Vec: v, Label: label}
-	}
-	badClf, err := core.Train(det.ctx, bogus, core.Config{K: 1, B: 2, C: 2, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	det.clf = badClf
+	det.clf = wrongDimClassifier(t, det.ctx)
 	if _, err := det.Detect(batch[5:15]); err == nil {
 		t.Fatal("expected Detect to fail on the wrong-dimension classifier")
 	}
@@ -947,5 +923,252 @@ func TestDetectReleasesShuffleState(t *testing.T) {
 	}
 	if got := shuffles.Registered(); got != before {
 		t.Fatalf("registered shuffles grew from %d to %d across 4 Detects; per-batch state leaked", before, got)
+	}
+}
+
+// prefixTestModel trains the shared test corpus's classifier once and
+// returns it saved, so the prefix-index fixtures can load it into
+// detectors whose seed database is too small to train on.
+func prefixTestModel(t *testing.T) []byte {
+	t.Helper()
+	c, det, _ := testCorpus(t, 20)
+	trainOnGroundTruth(t, c, det, 2000)
+	var buf bytes.Buffer
+	if err := det.SaveModel(&buf); err != nil {
+		t.Fatal(err)
+	}
+	det.Engine().Cluster().Close()
+	return buf.Bytes()
+}
+
+// prefixTestDetector builds a CandidatePrefixIndex detector seeded with the
+// first `seed` reports of corpus and the saved model, and returns the rest
+// of the corpus as its stream.
+func prefixTestDetector(t *testing.T, corpus []adr.Report, seed int, model []byte) (*Detector, []adr.Report) {
+	t.Helper()
+	det, err := New(Options{
+		Cluster:    cluster.Config{Executors: 4, CoresPerExecutor: 2},
+		Classifier: core.Config{K: 7, B: 8, C: 4, Theta: 0, Seed: 1},
+		Candidates: CandidatePrefixIndex,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := det.AddKnownReports(append([]adr.Report(nil), corpus[:seed]...)); err != nil {
+		t.Fatal(err)
+	}
+	if err := det.LoadModel(bytes.NewReader(model)); err != nil {
+		t.Fatal(err)
+	}
+	return det, append([]adr.Report(nil), corpus[seed:]...)
+}
+
+// rebuildPrefixIndex re-derives a detector's prefix index from its features
+// in one go: the token order frozen over the same records, the rest
+// appended in one call — the reference the incrementally kept index must
+// equal.
+func rebuildPrefixIndex(t *testing.T, d *Detector) *candgen.Index {
+	t.Helper()
+	sigs, err := candgen.Signatures(d.feats)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frozen := d.prefix.Frozen()
+	ix, err := candgen.Build(d.ctx, sigs[:frozen], DefaultCandidateTheta, d.classifierPartitions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ix.Append(sigs[frozen:]); err != nil {
+		t.Fatal(err)
+	}
+	return ix
+}
+
+// wrongDimClassifier returns a classifier trained on 5-dimensional vectors:
+// it rejects the 7-dimensional pair vectors, failing Detect after candidate
+// generation.
+func wrongDimClassifier(t *testing.T, ctx *rdd.Context) *core.Classifier {
+	t.Helper()
+	bogus := make([]core.TrainingPair, 8)
+	for i := range bogus {
+		v := make([]float64, 5)
+		v[i%5] = float64(i + 1)
+		label := -1
+		if i%2 == 0 {
+			label = 1
+		}
+		bogus[i] = core.TrainingPair{Vec: v, Label: label}
+	}
+	clf, err := core.Train(ctx, bogus, core.Config{K: 1, B: 2, C: 2, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return clf
+}
+
+// TestPrefixIndexIncrementalEqualsOneShot is the prefix-index counterpart
+// of TestBlockedIndexIncrementalEqualsOneShot, as a property over random
+// stream partitionings: a 150-report database takes a 350-report stream,
+// so the frozen token order is re-frozen mid-stream. The union of the
+// batches' matches must equal one Detect over the whole stream, and the
+// kept index must equal a rebuild frozen at the same point.
+func TestPrefixIndexIncrementalEqualsOneShot(t *testing.T) {
+	model := prefixTestModel(t)
+	corpus := adrgen.Generate(adrgen.Config{
+		NumReports: 500, DuplicatePairs: 40, NumDrugs: 80, NumADRs: 120, Seed: 42,
+	}).Reports
+	const seed = 150
+
+	detOne, stream := prefixTestDetector(t, corpus, seed, model)
+	oneShot, err := detOne.DetectAll(stream)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sortCasePairs(oneShot)
+	if len(Duplicates(oneShot)) == 0 {
+		t.Fatal("one-shot Detect found no duplicates; property would be vacuous")
+	}
+
+	prop := func(s int64) bool {
+		det, stream := prefixTestDetector(t, corpus, seed, model)
+		defer det.Engine().Cluster().Close()
+		rng := rand.New(rand.NewSource(s))
+		var union []Match
+		// A first batch of at most 100 freezes over at most 250 reports,
+		// so the 500-report total crosses the doubling re-freeze.
+		firstFreeze := 0
+		for i := 0; i < len(stream); {
+			n := min(1+rng.Intn(100), len(stream)-i)
+			m, err := det.DetectAll(stream[i : i+n])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if i == 0 {
+				firstFreeze = det.prefix.Frozen()
+			}
+			union = append(union, m...)
+			i += n
+		}
+		if det.prefix.Frozen() < 2*firstFreeze {
+			t.Fatalf("index frozen at %d then %d; the stream never re-froze", firstFreeze, det.prefix.Frozen())
+		}
+		if len(det.sigs) != len(det.feats) || det.prefix.Len() != len(det.feats) {
+			t.Fatalf("%d signatures and %d indexed records for %d features", len(det.sigs), det.prefix.Len(), len(det.feats))
+		}
+		if !reflect.DeepEqual(det.prefix, rebuildPrefixIndex(t, det)) {
+			t.Fatal("incrementally kept prefix index differs from a rebuild")
+		}
+		sortCasePairs(union)
+		return reflect.DeepEqual(union, oneShot)
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 4, Rand: rand.New(rand.NewSource(1))}); err != nil {
+		t.Fatalf("a stream partitioning changed the match set: %v", err)
+	}
+}
+
+// TestPrefixIndexRollsBackOnFailedDetect: a failed Detect that appended to
+// the prefix index pops its postings and signatures again, and a failed
+// Detect that re-froze the token order drops the index, so the retry
+// rebuilds it exactly as a from-scratch build would.
+func TestPrefixIndexRollsBackOnFailedDetect(t *testing.T) {
+	model := prefixTestModel(t)
+	corpus := adrgen.Generate(adrgen.Config{
+		NumReports: 500, DuplicatePairs: 40, NumDrugs: 80, NumADRs: 120, Seed: 42,
+	}).Reports
+	det, stream := prefixTestDetector(t, corpus, 150, model)
+	goodClf, badClf := det.clf, wrongDimClassifier(t, det.ctx)
+	if _, err := det.Detect(stream[:50]); err != nil {
+		t.Fatal(err)
+	}
+	if got := det.prefix.Frozen(); got != 200 {
+		t.Fatalf("first Detect froze over %d reports, want 200", got)
+	}
+
+	// An appending Detect fails: its postings and signatures pop off.
+	det.clf = badClf
+	if _, err := det.Detect(stream[50:60]); err == nil {
+		t.Fatal("expected Detect to fail on the wrong-dimension classifier")
+	}
+	if det.prefix == nil {
+		t.Fatal("a failed Detect that only appended dropped the index")
+	}
+	if det.prefix.Len() != 200 || len(det.sigs) != 200 {
+		t.Fatalf("after the failed append: %d indexed records, %d signatures; want 200", det.prefix.Len(), len(det.sigs))
+	}
+	if !reflect.DeepEqual(det.prefix, rebuildPrefixIndex(t, det)) {
+		t.Fatal("rolled-back prefix index differs from a rebuild")
+	}
+
+	// A Detect that doubles the database re-freezes, then fails: the index
+	// frozen over the failed batch is dropped.
+	if _, err := det.Detect(stream[50:250]); err == nil {
+		t.Fatal("expected the re-freezing Detect to fail")
+	}
+	det.clf = goodClf
+	if det.prefix != nil || len(det.sigs) != 200 || det.Database().Len() != 200 {
+		t.Fatalf("failed re-freeze left index %v, %d signatures, %d reports", det.prefix != nil, len(det.sigs), det.Database().Len())
+	}
+
+	if _, err := det.Detect(stream[50:250]); err != nil {
+		t.Fatalf("retrying the batch: %v", err)
+	}
+	sigs, err := candgen.Signatures(det.feats)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scratch, err := candgen.Build(det.ctx, sigs, DefaultCandidateTheta, det.classifierPartitions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if det.prefix.Frozen() != 400 || !reflect.DeepEqual(det.prefix, scratch) {
+		t.Fatalf("retried Detect's index (frozen at %d) differs from a from-scratch build", det.prefix.Frozen())
+	}
+}
+
+// TestPrefixIndexBatchCostIndependentOfDatabaseSize pins the per-batch
+// cost on exact counts: after a warm-up Detect has frozen the token order,
+// the same 100-report batch appends the same number of postings against a
+// 2,000-report and an 8,000-report database, runs no stage that ranks or
+// indexes existing records, and probes only its own records.
+func TestPrefixIndexBatchCostIndependentOfDatabaseSize(t *testing.T) {
+	model := prefixTestModel(t)
+	corpus := adrgen.Generate(adrgen.Config{NumReports: 8200, DuplicatePairs: 60, Seed: 7}).Reports
+	warm, batch := corpus[8000:8100], corpus[8100:]
+	measure := func(size int) (appended int64) {
+		det, _ := prefixTestDetector(t, corpus[:size], size, model)
+		defer det.Engine().Cluster().Close()
+		if _, err := det.Detect(append([]adr.Report(nil), warm...)); err != nil {
+			t.Fatal(err)
+		}
+		frozen, entries := det.prefix.Frozen(), det.prefix.Entries()
+		tr := det.Engine().Cluster().Tracer()
+		tr.Enable()
+		tr.Reset()
+		if _, err := det.Detect(append([]adr.Report(nil), batch...)); err != nil {
+			t.Fatal(err)
+		}
+		tr.Disable()
+		if det.prefix.Frozen() != frozen {
+			t.Fatalf("database of %d: the batch re-froze the index (%d -> %d)", size, frozen, det.prefix.Frozen())
+		}
+		probeTasks := 0
+		for _, e := range tr.Snapshot() {
+			for _, stage := range []string{"candgen.tokenFreq", "candgen.rank", "candgen.prefixIndex"} {
+				if e.Kind == cluster.EventStageStart && strings.Contains(e.Stage, stage) {
+					t.Fatalf("database of %d: the batch ran stage %s over the database", size, e.Stage)
+				}
+			}
+			if e.Kind == cluster.EventTaskSuccess && strings.Contains(e.Stage, "candgen.probe1d") {
+				probeTasks++
+			}
+		}
+		if probeTasks == 0 {
+			t.Fatalf("database of %d: no probe stage traced", size)
+		}
+		return det.prefix.Entries() - entries
+	}
+	small, large := measure(2000), measure(8000)
+	if small == 0 || small != large {
+		t.Fatalf("the batch appended %d postings against 2k reports, %d against 8k; want equal and non-zero", small, large)
 	}
 }

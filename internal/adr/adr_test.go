@@ -113,6 +113,30 @@ func TestDatabaseBefore(t *testing.T) {
 	}
 }
 
+func TestDatabaseSliceAndCaseNumber(t *testing.T) {
+	db := NewDatabase()
+	if err := db.Add(sample("A"), sample("B"), sample("C")); err != nil {
+		t.Fatal(err)
+	}
+	got := db.Slice(1, 3)
+	if len(got) != 2 || got[0].CaseNumber != "B" || got[1].ArrivalSeq != 2 {
+		t.Errorf("Slice(1, 3) = %v", got)
+	}
+	got[0].CaseNumber = "mutated"
+	if db.CaseNumber(1) != "B" {
+		t.Error("Slice aliases database storage")
+	}
+	if got := db.Slice(2, 10); len(got) != 1 || got[0].CaseNumber != "C" {
+		t.Errorf("Slice(2, 10) = %v", got)
+	}
+	if got := db.Slice(-1, 0); got != nil {
+		t.Errorf("Slice(-1, 0) = %v, want nil", got)
+	}
+	if db.CaseNumber(0) != "A" || db.CaseNumber(3) != "" || db.CaseNumber(-1) != "" {
+		t.Errorf("CaseNumber = %q, %q, %q", db.CaseNumber(0), db.CaseNumber(3), db.CaseNumber(-1))
+	}
+}
+
 func TestSummarize(t *testing.T) {
 	db := NewDatabase()
 	a := sample("A")

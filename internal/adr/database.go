@@ -91,6 +91,33 @@ func (d *Database) Reports() []Report {
 	return out
 }
 
+// Slice returns a copy of the reports with arrival sequences in [lo, hi),
+// clamped to the stored range — what a caller needs of a growing database
+// without copying all of it.
+func (d *Database) Slice(lo, hi int) []Report {
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	hi = min(hi, len(d.reports))
+	lo = max(lo, 0)
+	if lo >= hi {
+		return nil
+	}
+	out := make([]Report, hi-lo)
+	copy(out, d.reports[lo:hi])
+	return out
+}
+
+// CaseNumber returns the case number of the report with arrival sequence
+// seq, or "" when there is none.
+func (d *Database) CaseNumber(seq int) string {
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	if seq < 0 || seq >= len(d.reports) {
+		return ""
+	}
+	return d.reports[seq].CaseNumber
+}
+
 // Get returns the report with the given case number.
 func (d *Database) Get(caseNumber string) (Report, bool) {
 	d.mu.RLock()

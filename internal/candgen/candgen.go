@@ -14,8 +14,9 @@ type Mode int
 
 const (
 	// OneD shards probing by record blocks against one shared prefix
-	// index — the 1-D row-wise partitioning. Index construction is itself
-	// a record-block stage; the driver concatenates the shard postings.
+	// index (Index) — the 1-D row-wise partitioning. Index construction is
+	// itself a record-block stage; the driver concatenates the shard
+	// postings.
 	OneD Mode = iota
 	// TwoD shards by block *pairs*: records split into B size-ordered
 	// blocks and each of the B(B+1)/2 block pairs becomes one task that
@@ -120,7 +121,8 @@ func pairLess(a, b pairdist.IDPair) bool {
 // similarity reaches p.Theta, as rdd stages on ctx's engine. The result is
 // sorted by (A, B) with A < B and is exactly the brute-force ≥θ set —
 // prefix filtering prunes candidates, never answers. See Params.MinArrival
-// for the incremental restriction.
+// for the incremental restriction. OneD builds an Index over sigs and
+// probes it with the records at or after MinArrival.
 func Pairs(ctx *rdd.Context, sigs [][]uint32, p Params) ([]pairdist.IDPair, Stats, error) {
 	var st Stats
 	if err := p.validate(); err != nil {
@@ -135,14 +137,39 @@ func Pairs(ctx *rdd.Context, sigs [][]uint32, p Params) ([]pairdist.IDPair, Stat
 	if parts <= 0 {
 		parts = ctx.DefaultParallelism()
 	}
+	if p.Mode == OneD {
+		ix, err := Build(ctx, sigs, p.Theta, parts)
+		if err != nil {
+			return nil, st, err
+		}
+		return ix.Probe(ctx, p.MinArrival, parts)
+	}
 
-	// Stage 1: global token frequencies, counted per record block.
+	pl, _, err := freeze(ctx, sigs, p.Theta, parts)
+	if err != nil {
+		return nil, st, err
+	}
+	st.EmptyRecords = len(pl.empty)
+	pairs, err := pl.runTwoD(ctx, p, parts, &st)
+	if err != nil {
+		return nil, st, err
+	}
+	pairs = append(pairs, pl.emptyPairs(p.MinArrival)...)
+	sortPairs(pairs)
+	st.Emitted = int64(len(pairs))
+	return pairs, st, nil
+}
+
+// freeze runs the two stages that fix a token order over sigs — global
+// token frequencies counted per record block, then every signature
+// re-ordered into frequency-rank space — and assembles the plan.
+func freeze(ctx *rdd.Context, sigs [][]uint32, theta float64, parts int) (*plan, map[uint32]uint32, error) {
 	src := rdd.Parallelize(ctx, sigs, parts).SetName("signatures").WithBytesPerRecord(64)
 	partials, err := rdd.MapPartitions(src, func(in [][]uint32) ([]map[uint32]int64, error) {
 		return []map[uint32]int64{countTokens(in)}, nil
 	}).SetName("candgen.tokenFreq").Collect()
 	if err != nil {
-		return nil, st, fmt.Errorf("candgen: counting token frequencies: %w", err)
+		return nil, nil, fmt.Errorf("candgen: counting token frequencies: %w", err)
 	}
 	counts := make(map[uint32]int64)
 	for _, m := range partials {
@@ -150,7 +177,6 @@ func Pairs(ctx *rdd.Context, sigs [][]uint32, p Params) ([]pairdist.IDPair, Stat
 	}
 	ranks := rankTokens(counts)
 
-	// Stage 2: each signature re-ordered into frequency-rank space.
 	// Narrow map over the block-partitioned source, so Collect preserves
 	// record order and positions align with record IDs.
 	ctx.Cluster().Broadcast(int64(len(ranks)) * 8)
@@ -158,37 +184,13 @@ func Pairs(ctx *rdd.Context, sigs [][]uint32, p Params) ([]pairdist.IDPair, Stat
 		return rankTransform(sig, ranks)
 	}).SetName("candgen.rank").Collect()
 	if err != nil {
-		return nil, st, fmt.Errorf("candgen: rank-ordering signatures: %w", err)
+		return nil, nil, fmt.Errorf("candgen: rank-ordering signatures: %w", err)
 	}
-	pl := assemblePlan(ordered, p.Theta)
-	st.EmptyRecords = len(pl.empty)
+	return assemblePlan(ordered, theta), ranks, nil
+}
 
-	var pairs []pairdist.IDPair
-	switch p.Mode {
-	case OneD:
-		pairs, err = pl.runOneD(ctx, p, parts, &st)
-	case TwoD:
-		pairs, err = pl.runTwoD(ctx, p, parts, &st)
-	}
-	if err != nil {
-		return nil, st, err
-	}
-
-	// Empty signatures are mutually similar at 1 >= theta; pair them,
-	// honoring the incremental restriction.
-	for i := 0; i < len(pl.empty); i++ {
-		for j := i + 1; j < len(pl.empty); j++ {
-			a, b := pl.empty[i], pl.empty[j]
-			if p.MinArrival > 0 && int(b) < p.MinArrival {
-				continue
-			}
-			pairs = append(pairs, pairdist.IDPair{A: int(a), B: int(b)})
-		}
-	}
-
+func sortPairs(pairs []pairdist.IDPair) {
 	sort.Slice(pairs, func(i, j int) bool { return pairLess(pairs[i], pairs[j]) })
-	st.Emitted = int64(len(pairs))
-	return pairs, st, nil
 }
 
 // taskResult is one probe task's output: its verified pairs plus its share
@@ -207,70 +209,6 @@ func mergeResults(results []taskResult, st *Stats) []pairdist.IDPair {
 		st.Verified += r.st.Verified
 	}
 	return pairs
-}
-
-// runOneD: stage "prefixIndex" builds postings per record block (the driver
-// concatenates the shards — posting lists stay position-sorted because
-// blocks are contiguous in processing order), then stage "probe1d" scans
-// each prober block against the shared index.
-func (pl *plan) runOneD(ctx *rdd.Context, p Params, parts int, st *Stats) ([]pairdist.IDPair, error) {
-	type posting struct {
-		tok uint32
-		ent postEntry
-	}
-	positions := make([]int32, len(pl.order))
-	for i := range positions {
-		positions[i] = int32(i)
-	}
-	posSrc := rdd.Parallelize(ctx, positions, parts).SetName("orderPositions").WithBytesPerRecord(4)
-	shards, err := rdd.MapPartitions(posSrc, func(in []int32) ([]posting, error) {
-		var out []posting
-		for _, pos := range in {
-			id := pl.order[pos]
-			for k, t := range pl.prefix(id) {
-				out = append(out, posting{tok: t, ent: postEntry{pos: pos, idx: int32(k)}})
-			}
-		}
-		return out, nil
-	}).SetName("candgen.prefixIndex").WithBytesPerRecord(12).Collect()
-	if err != nil {
-		return nil, fmt.Errorf("candgen: building prefix index: %w", err)
-	}
-	idx := make(postings)
-	for _, e := range shards {
-		idx[e.tok] = append(idx[e.tok], e.ent)
-	}
-	st.IndexEntries = int64(len(shards))
-
-	isProber := func(id int32) bool { return p.MinArrival == 0 || int(id) >= p.MinArrival }
-	var probers []int32
-	for _, id := range pl.order {
-		if isProber(id) {
-			probers = append(probers, id)
-		}
-	}
-	if len(probers) == 0 {
-		return nil, nil
-	}
-
-	// The index and rank-space signatures are broadcast to the probe
-	// tasks; charge them like ComputeVectors charges its feature table.
-	ctx.Cluster().Broadcast(int64(len(shards))*8 + recordBytes(pl.ordered))
-	probeSrc := rdd.Parallelize(ctx, probers, parts).SetName("probers").WithBytesPerRecord(4)
-	results, err := rdd.MapPartitions(probeSrc, func(in []int32) ([]taskResult, error) {
-		var res taskResult
-		sc := pl.newProbeScratch()
-		for _, rid := range in {
-			pl.probeRecord(idx, rid, isProber, sc, &res.st, func(a, b int32) {
-				res.pairs = append(res.pairs, pairdist.IDPair{A: int(a), B: int(b)})
-			})
-		}
-		return []taskResult{res}, nil
-	}).SetName("candgen.probe1d").Collect()
-	if err != nil {
-		return nil, fmt.Errorf("candgen: probing prefix index: %w", err)
-	}
-	return mergeResults(results, st), nil
 }
 
 // runTwoD: records split into B contiguous blocks of the processing order;

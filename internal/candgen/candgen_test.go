@@ -166,9 +166,10 @@ func TestRankOrderPutsRareTokensFirst(t *testing.T) {
 	sigs := [][]uint32{
 		{10, 20}, {10, 20}, {10, 20}, {10, 30},
 	}
-	// Frequencies: 10→4, 20→3, 30→1. Ranks: 30→0, 20→1, 10→2.
+	// Frequencies: 10→4, 20→3, 30→1. Ranks (above rankBase): 30→0, 20→1,
+	// 10→2.
 	pl := buildPlan(sigs, 0.5)
-	want := []uint32{0, 2} // record 3 = {10, 30} → ranks {2, 0} sorted
+	want := []uint32{rankBase + 0, rankBase + 2} // record 3 = {10, 30} → ranks {2, 0} sorted
 	got := pl.ordered[3]
 	if len(got) != 2 || got[0] != want[0] || got[1] != want[1] {
 		t.Errorf("rank-space signature of {10,30} = %v, want %v", got, want)

@@ -16,8 +16,10 @@
 package candgen
 
 import (
+	"slices"
 	"sort"
 
+	"adrdedup/internal/pairdist"
 	"adrdedup/internal/strsim"
 )
 
@@ -31,17 +33,23 @@ import (
 // directly on the rank-space signatures. Sorting each signature ascending by
 // rank puts its rarest tokens first, which is exactly what keeps prefix
 // posting lists short.
+//
+// A plan can grow after it is built (Index.Append): records appended later
+// take the processing positions after the size-ordered run, in arrival order.
 type plan struct {
 	theta   float64
 	ordered [][]uint32 // rank-space signatures, each sorted ascending
 
-	// order lists the non-empty record IDs by (set size, ID) ascending —
-	// the processing order. pos is its inverse (-1 for empty records).
+	// order lists the non-empty record IDs in processing order: the first
+	// sorted positions by (set size, ID) ascending, then any appended
+	// records by ID. pos is its inverse (-1 for empty records).
 	order []int32
 	pos   []int32
+	// sorted is the length of the size-ordered run of order.
+	sorted int
 	// lens[p] is the signature size of the record at order[p]; ascending
-	// along order, which is what lets posting-list scans early-out on the
-	// length bound.
+	// along order[:sorted], which is what lets posting-list scans
+	// early-out on the length bound.
 	lens []int32
 	// prefixLen[id] is the number of leading rank-space tokens indexed
 	// for record id: len - minOverlap(len) + 1.
@@ -91,9 +99,16 @@ func mergeCounts(dst, src map[uint32]int64) {
 	}
 }
 
+// rankBase offsets the ranks of the tokens counted at a freeze. A token
+// first seen after the freeze keeps its own ID as its rank, so it sorts
+// ahead of every counted token (a token nobody had seen is as rare as any)
+// and tokens first seen later order among themselves by ID. The order stays
+// total and fixed, which is all prefix filtering needs to stay exact.
+const rankBase = 1 << 31
+
 // rankTokens assigns each distinct token its frequency rank: ascending
 // global count, ties broken by token ID so the ordering is total and
-// deterministic.
+// deterministic. Ranks start at rankBase.
 func rankTokens(counts map[uint32]int64) map[uint32]uint32 {
 	toks := make([]uint32, 0, len(counts))
 	for t := range counts {
@@ -107,23 +122,28 @@ func rankTokens(counts map[uint32]int64) map[uint32]uint32 {
 	})
 	ranks := make(map[uint32]uint32, len(toks))
 	for r, t := range toks {
-		ranks[t] = uint32(r)
+		ranks[t] = rankBase + uint32(r)
 	}
 	return ranks
 }
 
 // rankTransform maps one signature into rank space, sorted ascending
-// (rarest first). The input is a set, the rank map a bijection, so the
-// output is a set of the same size.
+// (rarest first). The input is a set and the rank map a bijection, so the
+// output is a set of the same size. Tokens missing from ranks keep their ID
+// (see rankBase); they must be below rankBase.
 func rankTransform(sig []uint32, ranks map[uint32]uint32) []uint32 {
 	if len(sig) == 0 {
 		return nil
 	}
 	out := make([]uint32, len(sig))
 	for i, t := range sig {
-		out[i] = ranks[t]
+		if r, ok := ranks[t]; ok {
+			out[i] = r
+		} else {
+			out[i] = t
+		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
@@ -141,7 +161,7 @@ func assemblePlan(ordered [][]uint32, theta float64) *plan {
 			continue
 		}
 		pl.order = append(pl.order, int32(id))
-		pl.prefixLen[id] = int32(len(sig) - minOverlap(theta, len(sig)) + 1)
+		pl.prefixLen[id] = prefixLen(theta, len(sig))
 	}
 	sort.Slice(pl.order, func(i, j int) bool {
 		a, b := pl.order[i], pl.order[j]
@@ -150,12 +170,55 @@ func assemblePlan(ordered [][]uint32, theta float64) *plan {
 		}
 		return a < b
 	})
-	pl.lens = make([]int32, len(pl.order))
+	pl.sorted = len(pl.order)
+	if pl.sorted > 0 {
+		pl.lens = make([]int32, pl.sorted)
+	}
 	for p, id := range pl.order {
 		pl.pos[id] = int32(p)
 		pl.lens[p] = int32(len(ordered[id]))
 	}
 	return pl
+}
+
+func prefixLen(theta float64, l int) int32 {
+	return int32(l - minOverlap(theta, l) + 1)
+}
+
+// add appends one rank-space record behind every existing one, at the next
+// processing position, and returns that position (-1 for an empty
+// signature).
+func (pl *plan) add(sig []uint32) int32 {
+	id := int32(len(pl.ordered))
+	pl.ordered = append(pl.ordered, sig)
+	if len(sig) == 0 {
+		pl.pos = append(pl.pos, -1)
+		pl.prefixLen = append(pl.prefixLen, 0)
+		pl.empty = append(pl.empty, id)
+		return -1
+	}
+	p := int32(len(pl.order))
+	pl.pos = append(pl.pos, p)
+	pl.prefixLen = append(pl.prefixLen, prefixLen(pl.theta, len(sig)))
+	pl.order = append(pl.order, id)
+	pl.lens = append(pl.lens, int32(len(sig)))
+	return p
+}
+
+// emptyPairs pairs the empty-signature records among themselves, keeping
+// only pairs whose later end is at or after minArrival.
+func (pl *plan) emptyPairs(minArrival int) []pairdist.IDPair {
+	var pairs []pairdist.IDPair
+	for j := 1; j < len(pl.empty); j++ {
+		b := pl.empty[j]
+		if int(b) < minArrival {
+			continue
+		}
+		for i := 0; i < j; i++ {
+			pairs = append(pairs, pairdist.IDPair{A: int(pl.empty[i]), B: int(b)})
+		}
+	}
+	return pairs
 }
 
 // buildPlan is the sequential composition of the stage computations —
@@ -199,8 +262,9 @@ type postEntry struct {
 }
 
 // postings is an inverted index over prefix tokens: rank → postings of the
-// records whose prefix contains that rank, ascending by position — and
-// therefore ascending by set size too.
+// records whose prefix contains that rank, ascending by position. Entries of
+// the size-ordered run (pos < plan.sorted) are therefore ascending by set
+// size too; entries of appended records follow them in arrival order.
 type postings map[uint32][]postEntry
 
 // indexRange enters the prefixes of order positions [lo, hi) into idx.
@@ -260,14 +324,15 @@ func (pl *plan) newProbeScratch() *probeScratch {
 // the database during an incremental Detect) are emitted unconditionally by
 // the prober.
 //
-// Posting lists ascend by set size, so each scan starts at the first
-// admissible length (binary search) and breaks at the last. At the pair's
-// first common token the positional filter (PPJoin) applies: all common
-// tokens of the pair sit at or after the first common token's positions
-// (anything smaller in both prefixes would itself be a first common prefix
-// token), so the intersection is at most 1 + min of the remaining suffix
-// lengths; pairs whose bound misses the required overlap are pruned without
-// verification.
+// The size-ordered head of each posting list ascends by set size, so its
+// scan starts at the first admissible length (binary search) and breaks at
+// the last; the appended tail, in arrival order, is length-checked entry by
+// entry. At the pair's first common token the positional filter (PPJoin)
+// applies: all common tokens of the pair sit at or after the first common
+// token's positions (anything smaller in both prefixes would itself be a
+// first common prefix token), so the intersection is at most 1 + min of the
+// remaining suffix lengths; pairs whose bound misses the required overlap
+// are pruned without verification.
 func (pl *plan) probeRecord(idx postings, rid int32, isProber proberSet, sc *probeScratch, st *Stats, emit probeEmit) {
 	pr := pl.pos[rid]
 	sig := pl.ordered[rid]
@@ -275,12 +340,23 @@ func (pl *plan) probeRecord(idx postings, rid int32, isProber proberSet, sc *pro
 	minLen := int32(minOverlap(pl.theta, int(lr)))
 	for i, t := range pl.prefix(rid) {
 		list := idx[t]
-		lo := sort.Search(len(list), func(k int) bool { return pl.lens[list[k].pos] >= minLen })
-		for _, e := range list[lo:] {
+		head := len(list)
+		if head > 0 && int(list[head-1].pos) >= pl.sorted {
+			head = sort.Search(head, func(k int) bool { return int(list[k].pos) >= pl.sorted })
+		}
+		lo := sort.Search(head, func(k int) bool { return pl.lens[list[k].pos] >= minLen })
+		for k := lo; k < len(list); k++ {
+			e := list[k]
 			pa := e.pos
 			la := pl.lens[pa]
 			if float64(lr) < pl.theta*float64(la) {
-				break // longer entries only get worse
+				if k < head {
+					k = head - 1 // longer head entries only get worse
+				}
+				continue
+			}
+			if la < minLen {
+				continue // only reachable in the unordered tail
 			}
 			aid := pl.order[pa]
 			if aid == rid {

@@ -3,10 +3,11 @@
 // instead of building hash sets per comparison (the hot path of the paper's
 // pairwise distance computing module, Figure 1 / Fig. 10(b)).
 //
-// An Interner is built once per detector (or per extract stage) and shared:
-// Intern is safe for concurrent use from parallel extract tasks, and after
-// the build the structure is read-mostly — Intern hits the read-locked fast
-// path for every previously seen token.
+// An Interner is built once per detector and shared. Intern is safe for
+// concurrent use, but IDs then follow goroutine scheduling; parallel extract
+// tasks instead intern into task-local interners that the driver merges in
+// partition order (Merge), so every ID is the one a sequential pass would
+// assign.
 package intern
 
 import (
@@ -79,4 +80,27 @@ func (it *Interner) SortedSet(tokens []string) []uint32 {
 	}
 	slices.Sort(ids)
 	return slices.Compact(ids)
+}
+
+// Merge interns src's tokens in src's ID order and returns the translation
+// table: remap[id] is the ID in it of the token src assigned id. Merging
+// task-local interners in task order assigns the same IDs as interning every
+// token through it sequentially.
+func (it *Interner) Merge(src *Interner) []uint32 {
+	src.mu.RLock()
+	toks := src.toks
+	src.mu.RUnlock()
+	remap := make([]uint32, len(toks))
+	it.mu.Lock()
+	defer it.mu.Unlock()
+	for i, tok := range toks {
+		id, ok := it.ids[tok]
+		if !ok {
+			id = uint32(len(it.toks))
+			it.ids[tok] = id
+			it.toks = append(it.toks, tok)
+		}
+		remap[i] = id
+	}
+	return remap
 }

@@ -13,6 +13,8 @@
 package pairdist
 
 import (
+	"slices"
+
 	"adrdedup/internal/adr"
 	"adrdedup/internal/cluster"
 	"adrdedup/internal/intern"
@@ -215,53 +217,61 @@ func ExtractAll(ctx *rdd.Context, reports []adr.Report, partitions int) ([]Featu
 }
 
 // ExtractAllWith is ExtractAll with token interning through it, enabling
-// the merge-scan Jaccard kernel downstream. The interner is shared by the
-// parallel extract tasks (it is safe for concurrent use) and must be the
-// same one for every feature set that will be compared together.
+// the merge-scan Jaccard kernel downstream. It must be the same interner for
+// every feature set that will be compared together. Each extract task
+// interns into its own dictionary and the driver merges them into it in
+// partition order, so the IDs are the ones a sequential pass would assign,
+// whatever the partition count or task scheduling.
 func ExtractAllWith(ctx *rdd.Context, it *intern.Interner, reports []adr.Report, partitions int) ([]Features, error) {
 	return extractAll(ctx, it, reports, partitions)
 }
 
+// extractAll runs one stage over record blocks of reports and returns the
+// features in input order.
 func extractAll(ctx *rdd.Context, it *intern.Interner, reports []adr.Report, partitions int) ([]Features, error) {
-	extract := Extract
-	if it != nil {
-		extract = func(r adr.Report) Features { return ExtractWith(it, r) }
-	}
-	type indexed struct {
-		i int
-		f Features
+	type block struct {
+		feats []Features
+		dict  *intern.Interner // the block's local IDs; nil without interning
 	}
 	src := rdd.Parallelize(ctx, reports, partitions).SetName("reports").WithBytesPerRecord(600)
-	extracted := rdd.MapPartitionsWithIndex(src, func(p int, in []adr.Report) ([]indexed, error) {
-		out := make([]indexed, len(in))
-		for i, r := range in {
-			out[i] = indexed{i: r.ArrivalSeq, f: extract(r)}
+	blocks, err := rdd.MapPartitions(src, func(in []adr.Report) ([]block, error) {
+		b := block{feats: make([]Features, len(in))}
+		if it != nil {
+			b.dict = intern.New()
 		}
-		return out, nil
-	}).SetName("features")
-	rows, err := extracted.Collect()
+		for i, r := range in {
+			if b.dict != nil {
+				b.feats[i] = ExtractWith(b.dict, r)
+			} else {
+				b.feats[i] = Extract(r)
+			}
+		}
+		return []block{b}, nil
+	}).SetName("features").Collect()
 	if err != nil {
 		return nil, err
 	}
-	feats := make([]Features, len(reports))
-	for _, row := range rows {
-		if row.i < 0 || row.i >= len(feats) {
-			// Reports straight from a generator may not have arrival
-			// sequences assigned; fall back to positional mapping.
-			return extractAllPositional(ctx, extract, reports, partitions)
+	feats := make([]Features, 0, len(reports))
+	for _, b := range blocks {
+		if b.dict != nil {
+			remapIDs(b.feats, it.Merge(b.dict))
 		}
-		feats[row.i] = row.f
+		feats = append(feats, b.feats...)
 	}
 	return feats, nil
 }
 
-func extractAllPositional(ctx *rdd.Context, extract func(adr.Report) Features, reports []adr.Report, partitions int) ([]Features, error) {
-	src := rdd.Parallelize(ctx, reports, partitions).SetName("reports").WithBytesPerRecord(600)
-	feats, err := rdd.Map(src, extract).SetName("features").Collect()
-	if err != nil {
-		return nil, err
+// remapIDs translates the interned ID sets of feats through remap in place
+// and restores their sort order.
+func remapIDs(feats []Features, remap []uint32) {
+	for i := range feats {
+		for _, ids := range [...][]uint32{feats[i].DrugIDs, feats[i].ADRIDs, feats[i].DescIDs} {
+			for k, id := range ids {
+				ids[k] = remap[id]
+			}
+			slices.Sort(ids)
+		}
 	}
-	return feats, nil
 }
 
 // PairRecord is one report pair with its computed distance vector and, when

@@ -2,11 +2,13 @@ package pairdist
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"adrdedup/internal/adr"
 	"adrdedup/internal/adrgen"
 	"adrdedup/internal/cluster"
+	"adrdedup/internal/intern"
 	"adrdedup/internal/rdd"
 )
 
@@ -172,5 +174,34 @@ func TestComputeVectors(t *testing.T) {
 	}
 	if ctx.Cluster().Metrics().Comparisons.Load() != 3 {
 		t.Errorf("comparisons metric = %d", ctx.Cluster().Metrics().Comparisons.Load())
+	}
+}
+
+// TestExtractAllAtArrivalOffset: a batch taken from a database after
+// bootstrap carries arrival sequences far past its own length. Extracting
+// it must still run one stage of one task per partition and yield the
+// features the same reports give at offset 0.
+func TestExtractAllAtArrivalOffset(t *testing.T) {
+	c := adrgen.Generate(adrgen.Config{NumReports: 10, NumDrugs: 10, NumADRs: 10, Seed: 4})
+	extract := func(offset int) ([]Features, []cluster.StageStats) {
+		reports := append([]adr.Report(nil), c.Reports...)
+		for i := range reports {
+			reports[i].ArrivalSeq = offset + i
+		}
+		cl := cluster.New(cluster.Config{Executors: 2})
+		defer cl.Close()
+		feats, err := ExtractAllWith(rdd.NewContext(cl), intern.New(), reports, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return feats, cl.StageHistory()
+	}
+	want, _ := extract(0)
+	got, stages := extract(1000)
+	if len(stages) != 1 || stages[0].Tasks != 2 {
+		t.Fatalf("extraction at offset 1000 ran %d stages, want 1 stage of 2 tasks", len(stages))
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("features at offset 1000 differ from offset 0")
 	}
 }
